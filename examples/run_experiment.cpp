@@ -34,8 +34,6 @@
 #include "fl/metrics.h"
 #include "fl/round_host.h"
 #include "fl/simulation.h"
-#include "net/elastic/host.h"
-#include "net/elastic/pool.h"
 #include "net/net_host.h"
 #include "net/pool.h"
 #include "obs/export.h"
@@ -443,25 +441,25 @@ int main(int argc, char** argv) {
     setup.config = cfg;
     setup.idx_dir = real_data.has_value() ? idx_dir : std::string();
     setup.heartbeat_interval_s = heartbeat_interval_s;
+    setup.elastic = elastic;
     try {
+      net::WorkerPool pool =
+          !connect_list.empty()
+              ? net::WorkerPool::connect(parse_endpoint_list(connect_list),
+                                         setup, sim.param_dim())
+              : net::WorkerPool::spawn_local(workers_remote, worker_bin,
+                                             setup, sim.param_dim());
+      std::printf("distributed%s: training across %zu worker process(es)",
+                  elastic ? " (elastic)" : "", pool.size());
+      if (elastic) std::printf(", rejoin port %u", pool.rejoin_port());
+      std::printf("\n");
+      std::optional<net::NetHost> host;
+      result = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
+        host.emplace(inner, pool, elastic_cfg);
+        if (streamer) host->set_metrics(&*streamer);
+        return *host;
+      });
       if (elastic) {
-        net::ElasticPool pool =
-            !connect_list.empty()
-                ? net::ElasticPool::connect(
-                      parse_endpoint_list(connect_list), setup,
-                      sim.param_dim())
-                : net::ElasticPool::spawn_local(workers_remote, worker_bin,
-                                                setup, sim.param_dim());
-        std::printf("distributed (elastic): %zu worker process(es), "
-                    "rejoin port %u\n",
-                    pool.size(), pool.rejoin_port());
-        std::optional<net::ElasticHost> host;
-        result =
-            sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-              host.emplace(inner, pool, elastic_cfg);
-              if (streamer) host->set_metrics(&*streamer);
-              return *host;
-            });
         const auto& st = host->stats();
         std::printf("elastic: %llu sub-batches, %llu replayed, %llu "
                     "stolen, %llu evicted, %llu rejoined\n",
@@ -470,39 +468,16 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(st.stolen),
                     static_cast<unsigned long long>(st.evicted_workers),
                     static_cast<unsigned long long>(st.rejoined_workers));
-        if (cfg.obs.enabled) {
-          auto reports = pool.collect_stats();
-          for (std::size_t i = 0; i < reports.size(); ++i) {
-            lanes.push_back({"worker " + std::to_string(i + 1),
-                             std::move(reports[i])});
-          }
-        }
-        pool.shutdown();
-      } else {
-        net::WorkerPool pool =
-            !connect_list.empty()
-                ? net::WorkerPool::connect(parse_endpoint_list(connect_list),
-                                           setup, sim.param_dim())
-                : net::WorkerPool::spawn_local(workers_remote, worker_bin,
-                                               setup, sim.param_dim());
-        std::printf("distributed: training sharded across %zu worker "
-                    "process(es)\n",
-                    pool.size());
-        std::optional<net::NetHost> host;
-        result =
-            sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-              host.emplace(inner, pool);
-              if (streamer) host->set_metrics(&*streamer);
-              return *host;
-            });
-        if (cfg.obs.enabled) {
-          auto reports = pool.collect_stats();
-          for (std::size_t i = 0; i < reports.size(); ++i) {
-            lanes.push_back({pool.label(i), std::move(reports[i])});
-          }
-        }
-        pool.shutdown();
       }
+      if (cfg.obs.enabled) {
+        // One report per slot, so lane i is pool.label(i) — evicted and
+        // rejoined workers keep their own names.
+        auto reports = pool.collect_stats();
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+          lanes.push_back({pool.label(i), std::move(reports[i])});
+        }
+      }
+      pool.shutdown();
     } catch (const std::exception& e) {
       // NetError for transport failures; wire::WireError can still
       // surface from a hostile peer's payload — both end the run with

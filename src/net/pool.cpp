@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -13,6 +14,11 @@
 
 namespace fedtrip::net {
 
+namespace {
+
+/// One worker's handshake: version negotiation, Setup with this worker's
+/// shard coordinates filled in, and the param_dim cross-check against the
+/// coordinator's model. Throws NetError with `label` in every diagnostic.
 void run_worker_handshake(Socket& conn, const std::string& label,
                           SetupMsg setup, std::uint32_t index,
                           std::uint32_t num_workers,
@@ -64,38 +70,18 @@ void run_worker_handshake(Socket& conn, const std::string& label,
   }
 }
 
-WorkerPool::~WorkerPool() {
-  try {
-    shutdown();
-  } catch (...) {
-  }
+void kill_and_reap(const std::vector<int>& pids) {
+  for (int pid : pids) ::kill(pid, SIGKILL);
+  for (int pid : pids) ::waitpid(pid, nullptr, 0);
 }
 
-WorkerPool WorkerPool::handshake(std::vector<Socket> conns, SetupMsg setup,
-                                 std::size_t expected_dim) {
-  WorkerPool pool;
-  try {
-    pool.wire_codec_ = std::make_shared<const WireCodec>(
-        setup.config.net.wire_codec, setup.config.comm.params,
-        setup.config.seed);
-  } catch (const std::invalid_argument& e) {
-    throw NetError(std::string("bad wire codec: ") + e.what());
-  }
-  pool.conns_ = std::move(conns);
-  const std::size_t n = pool.conns_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.labels_.push_back("worker " + std::to_string(i + 1) + "/" +
-                           std::to_string(n));
-    run_worker_handshake(pool.conns_[i], pool.labels_[i], setup,
-                         static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(n), expected_dim);
-  }
-  return pool;
-}
-
-SpawnedWorkers spawn_and_accept(std::size_t n, const std::string& worker_bin,
-                                Listener& listener) {
-  if (n == 0) throw NetError("cannot spawn a pool of 0 workers");
+/// fork/exec `n` `fl_worker --connect` children dialing `listener` and
+/// accept until all have connected (in accept order, which need not match
+/// spawn order). Returns the children's pids.
+std::vector<int> spawn_and_accept(std::size_t n,
+                                  const std::string& worker_bin,
+                                  Listener& listener,
+                                  std::vector<Socket>& conns) {
   const std::string endpoint =
       "127.0.0.1:" + std::to_string(listener.port());
 
@@ -122,11 +108,9 @@ SpawnedWorkers spawn_and_accept(std::size_t n, const std::string& worker_bin,
   // dies before dialing in (exec failure, crash on startup) must fail the
   // spawn with a diagnostic, not block accept() forever.
   auto fail_spawn = [&](const std::string& why) -> NetError {
-    for (int pid : pids) ::kill(pid, SIGKILL);
-    for (int pid : pids) ::waitpid(pid, nullptr, 0);
+    kill_and_reap(pids);
     return NetError(why);
   };
-  std::vector<Socket> conns;
   conns.reserve(n);
   constexpr int kSpawnTimeoutMs = 30000;
   int waited_ms = 0;
@@ -154,73 +138,144 @@ SpawnedWorkers spawn_and_accept(std::size_t n, const std::string& worker_bin,
                        " s (binary: " + worker_bin + ")");
     }
   }
-  return SpawnedWorkers{std::move(conns), std::move(pids)};
+  return pids;
+}
+
+std::string initial_label(std::size_t i, std::size_t n) {
+  return "worker " + std::to_string(i + 1) + "/" + std::to_string(n);
+}
+
+}  // namespace
+
+WorkerPool::WorkerPool(SetupMsg setup, std::size_t expected_dim,
+                       std::size_t num_initial)
+    : expected_dim_(expected_dim),
+      num_initial_(static_cast<std::uint32_t>(num_initial)) {
+  if (num_initial == 0) throw NetError("cannot build a pool of 0 workers");
+  if (setup.elastic) {
+    listener_.emplace(0);
+    setup.rejoin_port = listener_->port();
+  }
+  setup_ = std::move(setup);
+  try {
+    wire_codec_ = std::make_shared<const WireCodec>(
+        setup_.config.net.wire_codec, setup_.config.comm.params,
+        setup_.config.seed);
+  } catch (const std::invalid_argument& e) {
+    throw NetError(std::string("bad wire codec: ") + e.what());
+  }
+}
+
+WorkerPool::~WorkerPool() {
+  try {
+    shutdown();
+  } catch (...) {
+  }
+}
+
+void WorkerPool::admit_slot(Socket conn, const std::string& label) {
+  const std::size_t slot = conns_.size();
+  run_worker_handshake(conn, label, setup_,
+                       static_cast<std::uint32_t>(slot), num_initial_,
+                       expected_dim_);
+  conns_.push_back(std::move(conn));
+  labels_.push_back(label);
+}
+
+WorkerPool WorkerPool::handshake(std::vector<Socket> conns, SetupMsg setup,
+                                 std::size_t expected_dim) {
+  const std::size_t n = conns.size();
+  WorkerPool pool(std::move(setup), expected_dim, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pool.admit_slot(std::move(conns[i]), initial_label(i, n));
+  }
+  return pool;
 }
 
 WorkerPool WorkerPool::spawn_local(std::size_t n,
                                    const std::string& worker_bin,
                                    SetupMsg setup, std::size_t expected_dim) {
-  Listener listener(0);
-  SpawnedWorkers spawned = spawn_and_accept(n, worker_bin, listener);
-  std::vector<int> pids = std::move(spawned.pids);
-
+  WorkerPool pool(std::move(setup), expected_dim, n);
+  // An elastic pool's children dial its rejoin door, so a chaos-dropped
+  // child can come straight back; a fail-fast pool uses a throwaway one.
+  std::optional<Listener> dial_in;
+  Listener& door = pool.listener_ ? *pool.listener_ : dial_in.emplace(0);
+  std::vector<Socket> conns;
+  std::vector<int> pids = spawn_and_accept(n, worker_bin, door, conns);
   try {
-    WorkerPool pool = handshake(std::move(spawned.conns), std::move(setup),
-                                expected_dim);
-    pool.child_pids_ = std::move(pids);
-    // Connections are labeled in accept order, which need not match
-    // spawn order — so labels say "spawned", never a specific pid (the
-    // pids are held for reaping only).
-    for (auto& label : pool.labels_) label += " (spawned)";
-    return pool;
+    // Connections are labeled in accept order, which need not match spawn
+    // order — so labels say "spawned", never a specific pid (the pids are
+    // held for reaping only).
+    for (std::size_t i = 0; i < n; ++i) {
+      pool.admit_slot(std::move(conns[i]), initial_label(i, n) + " (spawned)");
+    }
   } catch (...) {
     // A handshake/setup failure after connect: the children would
     // otherwise linger unkilled and unreaped.
-    for (int pid : pids) ::kill(pid, SIGKILL);
-    for (int pid : pids) ::waitpid(pid, nullptr, 0);
+    kill_and_reap(pids);
     throw;
   }
+  pool.child_pids_ = std::move(pids);
+  return pool;
 }
 
 WorkerPool WorkerPool::connect(const std::vector<Endpoint>& endpoints,
                                SetupMsg setup, std::size_t expected_dim) {
-  if (endpoints.empty()) {
-    throw NetError("cannot build a pool from 0 endpoints");
-  }
-  std::vector<Socket> conns;
-  conns.reserve(endpoints.size());
-  for (const auto& ep : endpoints) {
-    conns.push_back(connect_to(ep.host, ep.port));
-  }
-  WorkerPool pool =
-      handshake(std::move(conns), std::move(setup), expected_dim);
-  for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    pool.labels_[i] += " (" + endpoints[i].host + ":" +
-                       std::to_string(endpoints[i].port) + ")";
+  const std::size_t n = endpoints.size();
+  WorkerPool pool(std::move(setup), expected_dim, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Endpoint& ep = endpoints[i];
+    pool.admit_slot(connect_to(ep.host, ep.port),
+                    initial_label(i, n) + " (" + ep.host + ":" +
+                        std::to_string(ep.port) + ")");
   }
   return pool;
 }
 
+std::size_t WorkerPool::try_admit(int timeout_ms) {
+  if (!listener_) return kNoSlot;
+  Socket conn = listener_->accept_timeout(timeout_ms);
+  if (!conn.valid()) return kNoSlot;
+  const std::size_t slot = conns_.size();
+  try {
+    admit_slot(std::move(conn),
+               "worker " + std::to_string(slot + 1) + " (rejoined)");
+  } catch (const std::exception&) {
+    // A rejoiner that cannot complete its handshake is dropped on the
+    // floor; the run continues on the surviving fleet.
+    return kNoSlot;
+  }
+  return slot;
+}
+
+obs::TraceData WorkerPool::stats_of(std::size_t i) {
+  const std::string& label = labels_[i];
+  send_frame(conns_[i], wire::RecordType::kNetStatsReq, 0, {});
+  Frame f = recv_frame(conns_[i], label.c_str());
+  // An elastic worker's heartbeat thread may interleave beacons with the
+  // report; the report itself is the sign of life that matters here.
+  while (f.type == wire::RecordType::kNetHeartbeat) {
+    f = recv_frame(conns_[i], label.c_str());
+  }
+  if (f.type == wire::RecordType::kNetError) {
+    throw NetError(label + " failed during stats collection: " +
+                   parse_error(f.payload.data(), f.payload.size()));
+  }
+  if (f.type != wire::RecordType::kNetStats) {
+    throw NetError(label + ": expected stats report, got frame type " +
+                   std::to_string(static_cast<std::uint32_t>(f.type)));
+  }
+  try {
+    return obs::parse_stats(f.payload.data(), f.payload.size());
+  } catch (const wire::WireError& e) {
+    throw NetError(label + " sent a malformed stats report: " + e.what());
+  }
+}
+
 std::vector<obs::TraceData> WorkerPool::collect_stats() {
-  std::vector<obs::TraceData> reports;
-  reports.reserve(conns_.size());
+  std::vector<obs::TraceData> reports(conns_.size());
   for (std::size_t i = 0; i < conns_.size(); ++i) {
-    const std::string& label = labels_[i];
-    send_frame(conns_[i], wire::RecordType::kNetStatsReq, 0, {});
-    Frame f = recv_frame(conns_[i], label.c_str());
-    if (f.type == wire::RecordType::kNetError) {
-      throw NetError(label + " failed during stats collection: " +
-                     parse_error(f.payload.data(), f.payload.size()));
-    }
-    if (f.type != wire::RecordType::kNetStats) {
-      throw NetError(label + ": expected stats report, got frame type " +
-                     std::to_string(static_cast<std::uint32_t>(f.type)));
-    }
-    try {
-      reports.push_back(obs::parse_stats(f.payload.data(), f.payload.size()));
-    } catch (const wire::WireError& e) {
-      throw NetError(label + " sent a malformed stats report: " + e.what());
-    }
+    if (connected(i)) reports[i] = stats_of(i);
   }
   return reports;
 }
@@ -228,6 +283,7 @@ std::vector<obs::TraceData> WorkerPool::collect_stats() {
 void WorkerPool::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
+  if (listener_) listener_->close();
   for (auto& conn : conns_) {
     if (!conn.valid()) continue;
     try {

@@ -87,7 +87,7 @@ TrainResultMsg execute_batch(WorkerWorld& world, DispatchBatchMsg&& batch) {
       throw NetError("dispatch for client " + std::to_string(d.client_id) +
                      " of " + std::to_string(world.num_clients));
     }
-    // Static sharding is a correctness check only under the fixed pool; an
+    // Static sharding is a correctness check only in a fail-fast session; an
     // elastic coordinator moves dispatches between workers (replay, work-
     // stealing), so ownership is its scheduling choice, not ours to veto.
     if (!world.elastic &&

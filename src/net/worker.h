@@ -9,8 +9,8 @@
 // residuals, history store, aggregation, the virtual clock) stays on the
 // coordinator; the per-dispatch history entry rides inside the dispatch
 // message, so the worker holds no cross-batch mutable state at all. That
-// statelessness is why a dispatch may execute on *any* worker: under the
-// static pool a dispatch is validated against the worker's shard
+// statelessness is why a dispatch may execute on *any* worker: in a
+// fail-fast session a dispatch is validated against the worker's shard
 // (id % num_workers == worker_index); an elastic session (Setup's elastic
 // flag) drops that check, because replay and work-stealing move
 // dispatches between workers freely (docs/TRANSPORT.md).

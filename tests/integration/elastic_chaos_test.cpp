@@ -14,27 +14,20 @@
 // door the way fl_worker's serve loop does.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algorithms/registry.h"
 #include "fl/checkpoint.h"
-#include "fl/round_host.h"
 #include "fl/simulation.h"
 #include "net/elastic/chaos.h"
-#include "net/elastic/host.h"
-#include "net/elastic/pool.h"
 #include "net/frame.h"
-#include "net/socket.h"
-#include "net/worker.h"
 #include "../fl/sim_util.h"
+#include "../support/loopback_fleet.h"
 
 namespace fedtrip {
 namespace {
@@ -66,37 +59,6 @@ fl::RunResult run_in_process(const fl::ExperimentConfig& cfg) {
   return sim.run();
 }
 
-/// The fl_worker session loop in a thread: serve, and when chaos drops
-/// the connection, redial the coordinator's rejoin door and serve on.
-/// Every other ending — orderly shutdown, injected kill, the socket
-/// closed under us by an eviction — ends the thread.
-void worker_main(std::uint16_t port, net::WorkerServer* server) {
-  net::Socket conn;
-  try {
-    conn = net::connect_to("127.0.0.1", port);
-  } catch (...) {
-    return;
-  }
-  while (true) {
-    net::SessionEnd end;
-    try {
-      end = server->serve(std::move(conn));
-    } catch (...) {
-      return;  // evicted mid-session or the run is over
-    }
-    if (end != net::SessionEnd::kChaosDropped) return;
-    conn = net::Socket();
-    for (int attempt = 0; attempt < 200 && !conn.valid(); ++attempt) {
-      try {
-        conn = net::connect_to(server->rejoin_host(), server->rejoin_port());
-      } catch (const net::NetError&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
-    if (!conn.valid()) return;
-  }
-}
-
 struct ElasticRun {
   fl::RunResult result;
   net::ElasticStats stats;
@@ -111,22 +73,15 @@ ElasticRun run_elastic(const fl::ExperimentConfig& cfg,
                        const std::vector<net::ChaosConfig>& chaos,
                        net::ElasticConfig ecfg = {},
                        double heartbeat_interval_s = 0.05) {
-  const std::size_t n = chaos.size();
-  net::Listener listener(0);
-  const std::uint16_t port = listener.port();
-
   ElasticRun out;
-  out.servers.reserve(n);
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.servers.push_back(
-        std::make_unique<net::WorkerServer>(nullptr, chaos[i]));
-    threads.emplace_back(worker_main, port, out.servers[i].get());
+  testing::LoopbackFleet fleet;
+  for (const net::ChaosConfig& c : chaos) {
+    out.servers.push_back(std::make_unique<net::WorkerServer>(nullptr, c));
+    net::WorkerServer* server = out.servers.back().get();
+    fleet.spawn([server](std::uint16_t port) {
+      testing::serve_and_rejoin(port, server);
+    });
   }
-  std::vector<net::Socket> conns;
-  conns.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) conns.push_back(listener.accept());
 
   algorithms::AlgoParams p;
   fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
@@ -134,21 +89,16 @@ ElasticRun run_elastic(const fl::ExperimentConfig& cfg,
   setup.method = "FedTrip";
   setup.algo = p;
   setup.config = cfg;
+  setup.elastic = true;
   setup.heartbeat_interval_s = heartbeat_interval_s;
-  auto pool =
-      net::ElasticPool::adopt(std::move(conns), setup, sim.param_dim());
+  fleet.handshake(setup, sim.param_dim());
 
-  std::optional<net::ElasticHost> host;
-  out.result = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-    host.emplace(inner, pool, ecfg);
-    return *host;
-  });
-  out.stats = host->stats();
-  for (std::size_t w = 0; w < host->health().size(); ++w) {
-    out.reasons.push_back(host->health().reason(w));
+  out.result = fleet.run(sim, ecfg);
+  out.stats = fleet.host().stats();
+  for (std::size_t w = 0; w < fleet.host().health().size(); ++w) {
+    out.reasons.push_back(fleet.host().health().reason(w));
   }
-  pool.shutdown();
-  for (auto& t : threads) t.join();
+  fleet.finish();
   return out;
 }
 
@@ -252,9 +202,6 @@ TEST(ElasticChaosTest, SilentWorkerIsDeadlineEvictedAndReplayed) {
   cfg.sched.policy = "sync";
   const auto local = run_in_process(cfg);
 
-  net::Listener listener(0);
-  const std::uint16_t port = listener.port();
-
   algorithms::AlgoParams p;
   fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
   const std::uint64_t dim = sim.param_dim();
@@ -262,13 +209,16 @@ TEST(ElasticChaosTest, SilentWorkerIsDeadlineEvictedAndReplayed) {
   std::vector<std::unique_ptr<net::WorkerServer>> servers;
   servers.push_back(std::make_unique<net::WorkerServer>());
   servers.push_back(std::make_unique<net::WorkerServer>());
-  std::vector<std::thread> threads;
-  threads.emplace_back(worker_main, port, servers[0].get());
-  threads.emplace_back(worker_main, port, servers[1].get());
+  testing::LoopbackFleet fleet;
+  for (const auto& server : servers) {
+    net::WorkerServer* s = server.get();
+    fleet.spawn(
+        [s](std::uint16_t port) { testing::serve_and_rejoin(port, s); });
+  }
   // A scripted zombie: handshakes like a real worker, then answers
   // nothing — no acks, no results, no heartbeats. Only the deadline
   // sweep can unstick the batch it is holding.
-  threads.emplace_back([port, dim]() {
+  fleet.spawn([dim](std::uint16_t port) {
     try {
       net::Socket conn = net::connect_to("127.0.0.1", port);
       net::Frame hello = net::recv_frame(conn, "coordinator");
@@ -284,32 +234,27 @@ TEST(ElasticChaosTest, SilentWorkerIsDeadlineEvictedAndReplayed) {
       // Evicted: the coordinator hung up on us. As planned.
     }
   });
-  std::vector<net::Socket> conns;
-  for (int i = 0; i < 3; ++i) conns.push_back(listener.accept());
 
   net::SetupMsg setup;
   setup.method = "FedTrip";
   setup.algo = p;
   setup.config = cfg;
+  setup.elastic = true;
   setup.heartbeat_interval_s = 0.05;
-  auto pool = net::ElasticPool::adopt(std::move(conns), setup, dim);
+  fleet.handshake(setup, dim);
 
   net::ElasticConfig ecfg;
   ecfg.worker_deadline_s = 0.6;  // >> the 50ms heartbeat interval
-  std::optional<net::ElasticHost> host;
-  auto remote = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-    host.emplace(inner, pool, ecfg);
-    return *host;
-  });
-  const net::ElasticStats stats = host->stats();
+  auto remote = fleet.run(sim, ecfg);
+  const net::ElasticStats stats = fleet.host().stats();
   std::size_t deadline_evictions = 0;
-  for (std::size_t w = 0; w < host->health().size(); ++w) {
-    if (host->health().reason(w) == net::EvictReason::kDeadlineExpired) {
+  for (std::size_t w = 0; w < fleet.host().health().size(); ++w) {
+    if (fleet.host().health().reason(w) ==
+        net::EvictReason::kDeadlineExpired) {
       ++deadline_evictions;
     }
   }
-  pool.shutdown();
-  for (auto& t : threads) t.join();
+  fleet.finish();
 
   expect_bit_identical(local, remote, "silent worker");
   EXPECT_EQ(deadline_evictions, 1u);

@@ -11,8 +11,8 @@
 //     scheduling policies. Wall-clock spans and timers are explicitly out
 //     of scope (real seconds differ by machine and by run).
 //
-// The socket runs use the net_equivalence harness shape: WorkerServer
-// sessions in threads over loopback TCP, worlds rebuilt from the wire.
+// The socket runs use the shared loopback fleet: WorkerServer sessions in
+// threads over loopback TCP, worlds rebuilt from the wire.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,22 +22,18 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algorithms/registry.h"
 #include "fl/checkpoint.h"
 #include "fl/round_host.h"
 #include "fl/simulation.h"
-#include "net/net_host.h"
-#include "net/pool.h"
-#include "net/socket.h"
-#include "net/worker.h"
 #include "obs/flight.h"
 #include "obs/histogram.h"
 #include "obs/stream.h"
 #include "obs/tracer.h"
 #include "../fl/sim_util.h"
+#include "../support/loopback_fleet.h"
 
 namespace fedtrip {
 namespace {
@@ -125,22 +121,8 @@ TracedRun run_in_process_streamed(const fl::ExperimentConfig& cfg,
 TracedRun run_distributed(fl::ExperimentConfig cfg, std::size_t num_workers,
                           bool traced, const std::string& ndjson_path = "") {
   cfg.obs.enabled = traced;  // shipped to the workers in Setup
-  net::Listener listener(0);
-  const std::uint16_t port = listener.port();
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    workers.emplace_back([port]() {
-      net::Socket conn = net::connect_to("127.0.0.1", port);
-      net::WorkerServer server;
-      server.serve(std::move(conn));
-    });
-  }
-  std::vector<net::Socket> conns;
-  conns.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    conns.push_back(listener.accept());
-  }
+  testing::LoopbackFleet fleet;
+  fleet.spawn_servers(num_workers);
 
   algorithms::AlgoParams p;
   fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
@@ -159,16 +141,10 @@ TracedRun run_distributed(fl::ExperimentConfig cfg, std::size_t num_workers,
   setup.method = "FedTrip";
   setup.algo = p;
   setup.config = cfg;
-  auto pool =
-      net::WorkerPool::handshake(std::move(conns), setup, sim.param_dim());
+  fleet.handshake(setup, sim.param_dim());
 
   TracedRun out;
-  std::optional<net::NetHost> host;
-  out.result = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-    host.emplace(inner, pool);
-    if (streamer) host->set_metrics(&*streamer);
-    return *host;
-  });
+  out.result = fleet.run(sim, {}, streamer ? &*streamer : nullptr);
   if (streamer) {
     EXPECT_GT(streamer->records(), 0u) << "streamer never emitted";
   }
@@ -176,11 +152,10 @@ TracedRun run_distributed(fl::ExperimentConfig cfg, std::size_t num_workers,
     // The workers must answer the stats request with parseable reports
     // even in this harness; their content (wall spans, net counters) is
     // engine-specific and not compared here.
-    const auto reports = pool.collect_stats();
+    const auto reports = fleet.pool().collect_stats();
     EXPECT_EQ(reports.size(), num_workers);
   }
-  pool.shutdown();
-  for (auto& w : workers) w.join();
+  fleet.finish();
   if (traced) out.trace = tracer->snapshot();
   return out;
 }

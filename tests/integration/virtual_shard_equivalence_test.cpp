@@ -13,20 +13,14 @@
 
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "algorithms/registry.h"
 #include "fl/checkpoint.h"
-#include "fl/round_host.h"
 #include "fl/simulation.h"
-#include "net/net_host.h"
-#include "net/pool.h"
-#include "net/socket.h"
-#include "net/worker.h"
 #include "../fl/sim_util.h"
+#include "../support/loopback_fleet.h"
 
 namespace fedtrip {
 namespace {
@@ -65,26 +59,10 @@ fl::RunResult run_distributed(fl::ExperimentConfig cfg,
                               const std::string& client_data,
                               std::size_t num_workers) {
   cfg.client_data = client_data;
-  net::Listener listener(0);
-  const std::uint16_t port = listener.port();
-
-  // Each worker thread is a full WorkerServer session over its own TCP
-  // connection — it rebuilds the virtual-shard world from the Setup
-  // message alone and synthesizes shards on its own side of the wire.
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    workers.emplace_back([port]() {
-      net::Socket conn = net::connect_to("127.0.0.1", port);
-      net::WorkerServer server;
-      server.serve(std::move(conn));
-    });
-  }
-  std::vector<net::Socket> conns;
-  conns.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    conns.push_back(listener.accept());
-  }
+  // Each session rebuilds the virtual-shard world from the Setup message
+  // alone and synthesizes shards on its own side of the wire.
+  testing::LoopbackFleet fleet;
+  fleet.spawn_servers(num_workers);
 
   algorithms::AlgoParams p;
   fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
@@ -92,16 +70,9 @@ fl::RunResult run_distributed(fl::ExperimentConfig cfg,
   setup.method = "FedTrip";
   setup.algo = p;
   setup.config = cfg;
-  auto pool =
-      net::WorkerPool::handshake(std::move(conns), setup, sim.param_dim());
-
-  std::optional<net::NetHost> host;
-  auto result = sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
-    host.emplace(inner, pool);
-    return *host;
-  });
-  pool.shutdown();
-  for (auto& w : workers) w.join();
+  fleet.handshake(setup, sim.param_dim());
+  auto result = fleet.run(sim);
+  fleet.finish();
   return result;
 }
 

@@ -2,18 +2,28 @@
 // JobTable dispatch lifecycle (every legal and illegal transition, the
 // replay-idempotence rule, deterministic steal order) and the
 // WorkerHealth heartbeat/deadline tracker (one-way eviction with typed
-// reasons, deterministic time via explicit `now`). No sockets here —
-// the I/O half is covered by tests/integration/elastic_chaos_test.cpp.
+// reasons, deterministic time via explicit `now`). One NetHost case pins
+// the replay count of a failed send over scripted socketpairs; the rest
+// of the I/O half is covered by tests/integration/elastic_chaos_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <optional>
+#include <thread>
 #include <vector>
 
+#include "algorithms/registry.h"
+#include "fl/simulation.h"
 #include "net/elastic/chaos.h"
 #include "net/elastic/health.h"
 #include "net/elastic/job_table.h"
 #include "net/error.h"
+#include "net/frame.h"
+#include "net/net_host.h"
+#include "net/worker.h"
+#include "../fl/sim_util.h"
 
 namespace fedtrip::net {
 namespace {
@@ -313,6 +323,67 @@ TEST(WorkerHealthTest, ReasonNamesAreStable) {
   EXPECT_STREQ(evict_reason_name(EvictReason::kDeadlineExpired),
                "deadline-expired");
   EXPECT_STREQ(evict_reason_name(EvictReason::kRetired), "retired");
+}
+
+// ----------------------------------------------------------------- NetHost
+
+TEST(NetHostTest, FailedSendCountsItsPoppedJobsAsReplayed) {
+  // Slot 0's peer hangs up right after setup, so the first sub-batch
+  // shipped to it fails in the send — after its jobs were popped into
+  // flight but before the host recorded them as outstanding. Both popped
+  // jobs are replayed and must be counted; the third stayed queued.
+  fl::ExperimentConfig cfg = fl::testing::tiny_config();
+  cfg.clients_per_round = cfg.num_clients;  // clients 0, 2, 4 on slot 0
+  algorithms::AlgoParams p;
+  fl::Simulation sim(cfg, algorithms::make_algorithm("FedTrip", p));
+  const std::uint64_t dim = sim.param_dim();
+
+  SocketPair dead = make_socket_pair();
+  SocketPair live = make_socket_pair();
+  std::thread script([&conn = dead.b, dim]() {
+    (void)recv_frame(conn, "coordinator");  // hello
+    send_frame(conn, wire::RecordType::kNetHello, 0,
+               serialize_hello(HelloMsg{}));
+    (void)recv_frame(conn, "coordinator");  // setup
+    send_frame(conn, wire::RecordType::kNetSetupAck, 0,
+               serialize_setup_ack(SetupAckMsg{dim}));
+    conn.close();
+  });
+  std::thread server([&conn = live.b]() {
+    try {
+      WorkerServer().serve(std::move(conn));
+    } catch (const std::exception&) {
+    }
+  });
+
+  SetupMsg setup;
+  setup.method = "FedTrip";
+  setup.algo = p;
+  setup.config = cfg;
+  setup.elastic = true;
+  setup.heartbeat_interval_s = 0.05;
+  std::vector<Socket> conns;
+  conns.push_back(std::move(dead.a));
+  conns.push_back(std::move(live.a));
+  WorkerPool pool = WorkerPool::handshake(std::move(conns), setup, dim);
+  script.join();  // slot 0's peer is gone before the first dispatch
+
+  ElasticConfig ecfg;
+  ecfg.chunk = 2;
+  std::optional<NetHost> host;
+  const fl::RunResult remote =
+      sim.run_with_host([&](fl::RoundHost& inner) -> sched::Host& {
+        host.emplace(inner, pool, ecfg);
+        return *host;
+      });
+  pool.shutdown();
+  server.join();
+
+  EXPECT_EQ(host->stats().evicted_workers, 1u);
+  EXPECT_EQ(host->health().reason(0), EvictReason::kDisconnected);
+  EXPECT_EQ(host->stats().replayed, 2u);
+  fl::Simulation local(cfg, algorithms::make_algorithm("FedTrip", p));
+  EXPECT_EQ(local.run().final_params, remote.final_params);
 }
 
 // ------------------------------------------------------------- ChaosConfig

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Elastic chaos smoke: 3 workers with drop+rejoin and a deterministic
-# straggler; the run must stay bit-identical to in-process. A second
+# straggler; the run must stay bit-identical to in-process, and its
+# metrics export must name the rejoined worker's lane. A second
 # scenario kills a flight-recorder-armed worker mid-run: the run must
 # still survive (eviction + dispatch replay) and the dying worker must
 # leave a parseable flight-<pid>.json naming its in-flight dispatch.
@@ -26,11 +27,20 @@ sleep 1
   --network straggler --compute-profile bimodal \
   --availability markov \
   --connect 127.0.0.1:5711,127.0.0.1:5712,127.0.0.1:5713 \
-  --elastic --heartbeat-interval 0.05 --out elastic.csv
+  --elastic --heartbeat-interval 0.05 --obs \
+  --metrics-out elastic_metrics.json --out elastic.csv
 wait
 cat w1.log w2.log w3.log
 diff inproc_elastic.csv elastic.csv
 grep -q "rejoined" w1.log  # the drop+rejoin actually happened
+# Lane i of the merged export is worker slot i under its own label, so
+# the rejoiner's stats land on a "(rejoined)" lane, not a renumbered one.
+python3 - <<'EOF'
+import json
+names = [l["name"] for l in json.load(open("elastic_metrics.json"))["lanes"]]
+assert any(n.endswith("(rejoined)") for n in names), names
+print(f"lanes ok: {names}")
+EOF
 
 # Flight-recorder scenario: worker 1 is armed and chaos-kills itself
 # after 2 dispatches (a hard process death, no farewell frame); the
