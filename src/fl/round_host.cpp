@@ -184,8 +184,12 @@ void RoundHost::aggregate(std::vector<ClientUpdate>& updates,
     RoundRecord rec;
     rec.round = t;
     {
-      obs::WallSpan eval_span(sim_.tracer(), "eval",
-                              {{"round", static_cast<double>(t)}});
+      const Simulation::EvalPlan plan = sim_.eval_plan();
+      obs::WallSpan eval_span(
+          sim_.tracer(), "eval",
+          {{"round", static_cast<double>(t)},
+           {"lanes", static_cast<double>(plan.lanes)},
+           {"samples", static_cast<double>(plan.samples)}});
       rec.test_accuracy = sim_.evaluate(sim_.global_params_);
     }
     rec.train_loss = loss_sum / static_cast<double>(updates.size());

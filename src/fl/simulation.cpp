@@ -1,6 +1,7 @@
 #include "fl/simulation.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +19,9 @@
 namespace fedtrip::fl {
 
 namespace {
+
+// Samples per forward call in an evaluate() lane.
+constexpr std::size_t kEvalSubBatch = 32;
 
 // Warm-up forward so conv layers know their output geometry; required before
 // forward_flops_per_sample() is meaningful.
@@ -174,28 +178,68 @@ void Simulation::set_initial_params(const std::vector<float>& params) {
   global_params_ = params;
 }
 
-double Simulation::evaluate(const std::vector<float>& params) {
-  nn::load_parameters(*eval_model_, params);
-  const std::size_t total =
-      config_.eval_max_samples > 0
-          ? std::min(config_.eval_max_samples, data_.test.size())
-          : data_.test.size();
-  if (total == 0) return 0.0;
+Simulation::EvalPlan Simulation::eval_plan() const {
+  EvalPlan plan;
+  plan.samples = config_.eval_max_samples > 0
+                     ? std::min(config_.eval_max_samples, data_.test.size())
+                     : data_.test.size();
+  const std::size_t threads =
+      own_pool_ ? own_pool_->size() : ThreadPool::global().size();
+  plan.lanes = std::min(threads,
+                        (plan.samples + kEvalSubBatch - 1) / kEvalSubBatch);
+  return plan;
+}
 
+double Simulation::evaluate(const std::vector<float>& params) {
+  const EvalPlan plan = eval_plan();
+  if (plan.samples == 0) return 0.0;
+  while (eval_lanes_.size() + 1 < plan.lanes) {
+    eval_lanes_.push_back(model_factory_());
+  }
+
+  // One hit flag per sample (bytes, not vector<bool>: lanes write
+  // neighbouring flags concurrently). Each lane runs its range forward in
+  // sub-batches of kEvalSubBatch, which bounds the activations every lane
+  // model caches.
+  std::vector<unsigned char> hit(plan.samples, 0);
+  parallel_for(
+      0, plan.lanes,
+      [&](std::size_t lane) {
+        nn::Sequential& model =
+            lane == 0 ? *eval_model_ : *eval_lanes_[lane - 1];
+        nn::load_parameters(model, params);
+        const std::size_t lo = plan.samples * lane / plan.lanes;
+        const std::size_t hi = plan.samples * (lane + 1) / plan.lanes;
+        for (std::size_t start = lo; start < hi; start += kEvalSubBatch) {
+          std::vector<std::size_t> idx(std::min(hi, start + kEvalSubBatch) -
+                                       start);
+          std::iota(idx.begin(), idx.end(), start);
+          Tensor logits =
+              model.forward(data_.test.make_batch(idx), /*train=*/false);
+          const auto labels = data_.test.make_batch_labels(idx);
+          const std::int64_t classes = logits.shape()[1];
+          for (std::size_t i = 0; i < idx.size(); ++i) {
+            hit[start + i] =
+                nn::argmax_row(logits.data() +
+                                   static_cast<std::int64_t>(i) * classes,
+                               classes) == labels[i];
+          }
+        }
+      },
+      own_pool_.get());
+
+  // Serial reduction replaying the legacy loop's double arithmetic: per
+  // 128-sample batch, accuracy (correct / n) weighted back by n.
   constexpr std::size_t kEvalBatch = 128;
-  std::size_t correct_weighted = 0;
   double acc_sum = 0.0;
   std::size_t seen = 0;
-  (void)correct_weighted;
-  for (std::size_t start = 0; start < total; start += kEvalBatch) {
-    const std::size_t end = std::min(total, start + kEvalBatch);
-    std::vector<std::size_t> idx(end - start);
-    for (std::size_t i = start; i < end; ++i) idx[i - start] = i;
-    Tensor x = data_.test.make_batch(idx);
-    auto labels = data_.test.make_batch_labels(idx);
-    Tensor logits = eval_model_->forward(x, /*train=*/false);
-    acc_sum += nn::accuracy(logits, labels) * static_cast<double>(idx.size());
-    seen += idx.size();
+  for (std::size_t start = 0; start < plan.samples; start += kEvalBatch) {
+    const std::size_t n = std::min(plan.samples - start, kEvalBatch);
+    std::int64_t correct = 0;
+    for (std::size_t i = start; i < start + n; ++i) correct += hit[i];
+    acc_sum += (static_cast<double>(correct) / static_cast<double>(n)) *
+               static_cast<double>(n);
+    seen += n;
   }
   return acc_sum / static_cast<double>(seen);
 }

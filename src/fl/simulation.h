@@ -151,7 +151,19 @@ class Simulation {
   RunResult run_reference();
 
   /// Evaluates parameters on the held-out test set (accuracy in [0, 1]).
+  /// The samples are split into eval_plan().lanes contiguous ranges scored
+  /// in parallel on the training pool, one model per lane; the result is
+  /// bitwise equal to a serial pass over 128-sample batches, because in
+  /// eval mode each sample's logits depend on that sample alone.
   double evaluate(const std::vector<float>& params);
+
+  /// How evaluate() fans out: the test samples it scores (the first
+  /// config.eval_max_samples, or all) and the lanes it splits them into.
+  struct EvalPlan {
+    std::size_t samples = 0;
+    std::size_t lanes = 0;
+  };
+  EvalPlan eval_plan() const;
 
   /// Replaces the initial global model (e.g. loaded from a checkpoint via
   /// fl::load_parameters_file) before run()/run_reference() — the resume
@@ -210,6 +222,9 @@ class Simulation {
   RoundSink round_sink_;
   bool sink_keeps_history_ = false;
   std::unique_ptr<nn::Sequential> eval_model_;
+  /// Models of evaluate()'s lanes 1.. (lane 0 is eval_model_), built on
+  /// first use and kept for later calls.
+  std::vector<std::unique_ptr<nn::Sequential>> eval_lanes_;
   HistoryStore history_;
   std::vector<float> global_params_;
   std::unique_ptr<comm::Channel> channel_;

@@ -39,6 +39,14 @@ Tensor SoftmaxCrossEntropy::backward() const {
   return grad;
 }
 
+std::int64_t argmax_row(const float* row, std::int64_t classes) {
+  std::int64_t best = 0;
+  for (std::int64_t c = 1; c < classes; ++c) {
+    if (row[c] > row[best]) best = c;
+  }
+  return best;
+}
+
 double accuracy(const Tensor& logits,
                 const std::vector<std::int64_t>& labels) {
   assert(logits.shape().rank() == 2);
@@ -47,12 +55,10 @@ double accuracy(const Tensor& logits,
   if (batch == 0) return 0.0;
   std::int64_t correct = 0;
   for (std::int64_t n = 0; n < batch; ++n) {
-    const float* row = logits.data() + n * classes;
-    std::int64_t best = 0;
-    for (std::int64_t c = 1; c < classes; ++c) {
-      if (row[c] > row[best]) best = c;
+    if (argmax_row(logits.data() + n * classes, classes) ==
+        labels[static_cast<std::size_t>(n)]) {
+      ++correct;
     }
-    if (best == labels[static_cast<std::size_t>(n)]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(batch);
 }

@@ -25,6 +25,12 @@ class SoftmaxCrossEntropy {
   std::vector<std::int64_t> labels_;
 };
 
+/// Predicted class of one logits row of `classes` entries. The first
+/// maximum wins ties; every comparison with NaN is false, so a NaN never
+/// displaces the running best and a row led by NaN (all-NaN included)
+/// predicts class 0. accuracy() and Simulation::evaluate share this rule.
+std::int64_t argmax_row(const float* row, std::int64_t classes);
+
 /// Argmax classification accuracy of `logits` (N x C) against `labels`.
 double accuracy(const Tensor& logits, const std::vector<std::int64_t>& labels);
 

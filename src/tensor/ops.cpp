@@ -8,8 +8,9 @@
 namespace fedtrip::ops {
 
 namespace {
-// Register-blocked inner kernel: C[i,:] += a_ik * B[k,:]. This "saxpy over
-// rows" formulation streams B and C which vectorises well with -O2.
+// Inner kernel, a plain saxpy (no register blocking): C[i,:] += a_ik *
+// B[k,:]. This "saxpy over rows" form streams B and C, which the compiler
+// vectorises at -O2.
 inline void gemm_row_update(const float* b_row, float* c_row, float a_ik,
                             std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) c_row[j] += a_ik * b_row[j];

@@ -4,6 +4,11 @@
 
 namespace fedtrip {
 
+namespace {
+// The pool whose worker loop runs on this thread (nullptr elsewhere).
+thread_local const ThreadPool* current_pool = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -23,7 +28,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+bool ThreadPool::is_worker_thread() const { return current_pool == this; }
+
 void ThreadPool::worker_loop() {
+  current_pool = this;
   while (true) {
     std::function<void()> task;
     {
@@ -49,7 +57,7 @@ void parallel_for(std::size_t begin, std::size_t end,
   const std::size_t n = end - begin;
   if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t workers = pool->size();
-  if (workers <= 1 || n <= grain) {
+  if (workers <= 1 || n <= grain || pool->is_worker_thread()) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }

@@ -27,6 +27,9 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  /// True when the calling thread is one of this pool's workers.
+  bool is_worker_thread() const;
+
   /// Enqueues a task; the returned future resolves with the task's result.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
@@ -58,7 +61,9 @@ class ThreadPool {
 /// Runs fn(i) for i in [begin, end) across the pool, blocking until done.
 /// Work is split into contiguous chunks, one per worker, which keeps
 /// per-iteration state cache-local. fn must be safe to call concurrently for
-/// distinct i. Falls back to a serial loop for tiny ranges.
+/// distinct i. Falls back to a serial loop for tiny ranges, and when called
+/// from one of the pool's own workers: a worker blocking on tasks queued
+/// behind it could deadlock the pool, so nested calls run inline.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr, std::size_t grain = 1);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "gradcheck_util.h"
 
@@ -97,6 +99,45 @@ TEST(AccuracyTest, Half) {
 TEST(AccuracyTest, EmptyBatchIsZero) {
   Tensor logits(Shape{0, 3});
   EXPECT_DOUBLE_EQ(accuracy(logits, {}), 0.0);
+}
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+// Rows hitting the tie and NaN rules, each with the class argmax_row must
+// pick for it.
+const std::vector<float> kRuleRows = {
+    2, 2, 2,           // all tied -> 0
+    1, 3, 3,           // tie for the maximum -> the lower class, 1
+    kInf, 0, kInf,     // tied +Inf -> 0
+    kNaN, kNaN, kNaN,  // all NaN -> 0
+    kNaN, 5, 9,        // leading NaN is never displaced -> 0
+    1, kNaN, 2,        // NaN elsewhere is skipped -> 2
+    -kInf, kNaN, -1,   // -> 2
+};
+const std::vector<std::int64_t> kRuleClasses = {0, 1, 0, 0, 0, 2, 2};
+
+TEST(ArgmaxRowTest, TiesGoToLowestClassAndNanRowsToClassZero) {
+  for (std::size_t n = 0; n < kRuleClasses.size(); ++n) {
+    EXPECT_EQ(argmax_row(kRuleRows.data() + 3 * n, 3), kRuleClasses[n])
+        << "row " << n;
+  }
+}
+
+TEST(ArgmaxRowTest, SingleClassIsAlwaysZero) {
+  const float row[] = {kNaN};
+  EXPECT_EQ(argmax_row(row, 1), 0);
+}
+
+TEST(AccuracyTest, TieAndNanRowsFollowArgmaxRow) {
+  const auto rows = static_cast<std::int64_t>(kRuleClasses.size());
+  Tensor logits(Shape{rows, 3}, kRuleRows);
+  EXPECT_DOUBLE_EQ(accuracy(logits, kRuleClasses), 1.0);
+  std::vector<std::int64_t> shifted(kRuleClasses.size());
+  for (std::size_t n = 0; n < shifted.size(); ++n) {
+    shifted[n] = (kRuleClasses[n] + 1) % 3;
+  }
+  EXPECT_DOUBLE_EQ(accuracy(logits, shifted), 0.0);
 }
 
 }  // namespace

@@ -98,5 +98,23 @@ TEST(ParallelForTest, GrainLimitsSplitting) {
   EXPECT_EQ(hits.load(), 16);
 }
 
+TEST(ParallelForTest, NestedCallOnSamePoolCompletes) {
+  // Both workers run an outer chunk; if the inner calls queued tasks and
+  // waited on them, no worker would be free to run those tasks.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(4 * 8);
+  parallel_for(
+      0, 4,
+      [&](std::size_t i) {
+        EXPECT_TRUE(pool.is_worker_thread());
+        parallel_for(
+            0, 8, [&](std::size_t j) { hits[i * 8 + j].fetch_add(1); },
+            &pool);
+      },
+      &pool);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_FALSE(pool.is_worker_thread());
+}
+
 }  // namespace
 }  // namespace fedtrip
