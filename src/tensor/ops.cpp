@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 namespace fedtrip::ops {
 
@@ -53,15 +54,31 @@ void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
 
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, float alpha, float beta) {
-  // B is stored (n x k); C(m x n) = alpha A B^T + beta C. Dot-product form.
+  // B is stored (n x k); C(m x n) = alpha A B^T + beta C. The dot product
+  // acc = sum_p A[i,p] * B[j,p] cannot vectorise over p without
+  // reassociating it, so pack B^T (k x n) once and run the saxpy form over
+  // a row of n accumulators instead: every acc[j] still sees the same +=
+  // sequence in p order. No zero skip, unlike gemm: 0 * Inf must stay NaN.
+  thread_local std::vector<float> scratch;
+  const auto kn = static_cast<std::size_t>(k * n);
+  if (scratch.size() < kn + static_cast<std::size_t>(n)) {
+    scratch.resize(kn + static_cast<std::size_t>(n));
+  }
+  float* bt = scratch.data();
+  float* acc = bt + kn;
+  for (std::int64_t j = 0; j < n; ++j) {
+    const float* b_row = b + j * k;
+    for (std::int64_t p = 0; p < k; ++p) bt[p * n + j] = b_row[p];
+  }
   for (std::int64_t i = 0; i < m; ++i) {
     const float* a_row = a + i * k;
     float* c_row = c + i * n;
+    std::fill(acc, acc + n, 0.0f);
+    for (std::int64_t p = 0; p < k; ++p) {
+      gemm_row_update(bt + p * n, acc, a_row[p], n);
+    }
     for (std::int64_t j = 0; j < n; ++j) {
-      const float* b_row = b + j * k;
-      float acc = 0.0f;
-      for (std::int64_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      c_row[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * c_row[j]);
+      c_row[j] = alpha * acc[j] + (beta == 0.0f ? 0.0f : beta * c_row[j]);
     }
   }
 }
@@ -76,14 +93,15 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 void im2col(const float* img, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* cols) {
+            std::int64_t stride, std::int64_t pad, float* cols,
+            std::int64_t ld) {
   const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
   const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-  const std::int64_t out_hw = out_h * out_w;
+  if (ld == 0) ld = out_h * out_w;
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t ki = 0; ki < kh; ++ki) {
       for (std::int64_t kj = 0; kj < kw; ++kj) {
-        float* col_row = cols + ((c * kh + ki) * kw + kj) * out_hw;
+        float* col_row = cols + ((c * kh + ki) * kw + kj) * ld;
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
           const std::int64_t ih = oh * stride - pad + ki;
           if (ih < 0 || ih >= height) {
@@ -105,14 +123,15 @@ void im2col(const float* img, std::int64_t channels, std::int64_t height,
 
 void col2im(const float* cols, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* img) {
+            std::int64_t stride, std::int64_t pad, float* img,
+            std::int64_t ld) {
   const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
   const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-  const std::int64_t out_hw = out_h * out_w;
+  if (ld == 0) ld = out_h * out_w;
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t ki = 0; ki < kh; ++ki) {
       for (std::int64_t kj = 0; kj < kw; ++kj) {
-        const float* col_row = cols + ((c * kh + ki) * kw + kj) * out_hw;
+        const float* col_row = cols + ((c * kh + ki) * kw + kj) * ld;
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
           const std::int64_t ih = oh * stride - pad + ki;
           if (ih < 0 || ih >= height) continue;
