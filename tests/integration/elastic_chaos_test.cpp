@@ -13,6 +13,7 @@
 // covers the fork/exec path). A dropped worker redials the pool's rejoin
 // door the way fl_worker's serve loop does.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -32,10 +33,18 @@
 namespace fedtrip {
 namespace {
 
-/// Everything-on config, sized so each of 3 workers queues at least two
-/// dispatches per round (stealing and chaos thresholds need real queues):
-/// error-feedback top-k uplink with delta framing, qsgd downlink, a
-/// straggler network, bimodal compute, Markov churn.
+/// Everything-on config: error-feedback top-k uplink with delta framing,
+/// qsgd downlink, a straggler network, bimodal compute, Markov churn.
+///
+/// At this seed the churn keeps clients 4-7 offline for the whole run, so
+/// every dispatch goes to clients 0-3. Their in-process dispatch counts
+/// (clients 0/1/2/3) are sync 1/4/4/4, fastk 4/4/4/4, async 4/2/1/1 and
+/// deadline 2/1/1/1. Jobs are placed on active[client_id % active.size()]
+/// (docs/TRANSPORT.md), so with 3 workers slot 0 owns clients {0, 3}: 5
+/// of the run's dispatches under sync, 8 under fastk, 5 under async and 3
+/// under deadline. Slot 0 is also the only slot whose queue ever holds two
+/// jobs at once, which is what stealing needs; async and deadline send one
+/// dispatch per train() call, so nothing is ever queued behind another.
 fl::ExperimentConfig chaos_config() {
   fl::ExperimentConfig cfg = fl::testing::tiny_config();
   cfg.num_clients = 8;
@@ -67,8 +76,8 @@ struct ElasticRun {
 };
 
 /// One elastic run with `chaos.size()` worker threads, chaos[i] armed on
-/// servers[i]. NOTE: the thread-to-slot mapping is an accept race — assert
-/// against the returned servers (stable), not slot indices.
+/// servers[i]; slot i = chaos[i] (LoopbackFleet assigns slots in spawn
+/// order).
 ElasticRun run_elastic(const fl::ExperimentConfig& cfg,
                        const std::vector<net::ChaosConfig>& chaos,
                        net::ElasticConfig ecfg = {},
@@ -103,8 +112,9 @@ ElasticRun run_elastic(const fl::ExperimentConfig& cfg,
 }
 
 std::string csv_of(const fl::RunResult& result, const char* tag) {
-  const std::string path =
-      ::testing::TempDir() + "/elastic_chaos_" + tag + ".csv";
+  // Per-process name: concurrent instances of this suite share TempDir().
+  const std::string path = ::testing::TempDir() + "/elastic_chaos_" +
+                           std::to_string(::getpid()) + "_" + tag + ".csv";
   fl::save_history_csv(path, result.history);
   std::ifstream in(path);
   std::stringstream ss;
@@ -266,8 +276,14 @@ TEST(ElasticChaosTest, KillPlusSlowBitIdenticalForAllFourPolicies) {
   // The headline acceptance claim: one worker killed mid-run, another
   // chaos-slowed, and the CSV is still bit-identical to the in-process
   // engine under every scheduling policy.
+  // The killer holds slot 0 (clients {0, 3}), so its smallest share over
+  // the four policies is deadline's 3 dispatches (see chaos_config()).
+  // Sync and fastk give it at least 4: only queued jobs can be stolen and
+  // an idle owner always ships its first job itself. Async gives it 5, one
+  // per train() call, none stealable. Dying at its 3rd executed dispatch
+  // is therefore a kill point that every policy reaches.
   net::ChaosConfig killer;
-  killer.kill_after_dispatches = 4;
+  killer.kill_after_dispatches = 3;
   net::ChaosConfig slow;
   slow.delay_dispatch_ms = 25.0;
 
@@ -280,6 +296,9 @@ TEST(ElasticChaosTest, KillPlusSlowBitIdenticalForAllFourPolicies) {
     expect_bit_identical(local, run.result, policy + " under chaos");
     EXPECT_EQ(run.stats.evicted_workers, 1u) << policy;
     EXPECT_GE(run.stats.replayed, 1u) << policy;
+    EXPECT_GE(run.servers[0]->dispatches_executed(),
+              killer.kill_after_dispatches)
+        << policy;
   }
 }
 

@@ -6,6 +6,8 @@
 // process does (the CI smokes cover the fork/exec path). The fleet owns
 // the listener, the session threads, the WorkerPool and the NetHost, and
 // tears them down in the right order: pool shutdown first, then joins.
+// Worker slots follow spawn order (slot i = i-th spawned), so a test that
+// arms a fault on its i-th session knows which slot carries it.
 //
 //   testing::LoopbackFleet fleet;
 //   fleet.spawn_servers(2);
@@ -19,6 +21,8 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -82,26 +86,31 @@ class LoopbackFleet {
   LoopbackFleet& operator=(const LoopbackFleet&) = delete;
   ~LoopbackFleet() { finish(); }
 
-  /// Starts one session thread running `body(port)`; the body dials the
-  /// fleet's listener itself.
+  /// Starts one session thread running `body(port)` and accepts its
+  /// connection before returning, so slot i = i-th spawned session. The
+  /// body must dial the fleet's listener once; one that has not dialed
+  /// within kAcceptTimeoutMs throws instead of hanging the handshake.
   void spawn(std::function<void(std::uint16_t)> body) {
     threads_.emplace_back(std::move(body), listener_.port());
+    net::Socket conn = listener_.accept_timeout(kAcceptTimeoutMs);
+    if (!conn.valid()) {
+      throw std::runtime_error("LoopbackFleet: session " +
+                               std::to_string(threads_.size() - 1) +
+                               " never dialed the listener");
+    }
+    accepted_.push_back(std::move(conn));
   }
   /// spawn()s `n` serve_once sessions.
   void spawn_servers(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) spawn(serve_once);
   }
 
-  /// Accepts one connection per spawned session and handshakes them into
-  /// the pool, slot i = i-th accepted. `setup.elastic` picks the policy.
+  /// Handshakes the spawned sessions' connections into the pool in spawn
+  /// order, slot i = i-th spawned. `setup.elastic` picks the policy.
   net::WorkerPool& handshake(const net::SetupMsg& setup,
                              std::size_t expected_dim) {
-    std::vector<net::Socket> conns;
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-      conns.push_back(listener_.accept());
-    }
-    pool_.emplace(
-        net::WorkerPool::handshake(std::move(conns), setup, expected_dim));
+    pool_.emplace(net::WorkerPool::handshake(std::exchange(accepted_, {}),
+                                             setup, expected_dim));
     return *pool_;
   }
 
@@ -120,10 +129,12 @@ class LoopbackFleet {
   const net::NetHost& host() const { return *host_; }
 
   /// Orderly pool shutdown, then joins every session. Closing the
-  /// listener first resets sessions that were never accepted, so a run
-  /// that failed before its handshake still joins. Idempotent.
+  /// connections that were accepted but never handed to a pool first
+  /// ends sessions still waiting for Hello, so a run that failed before
+  /// its handshake still joins. Idempotent.
   void finish() {
     if (pool_) pool_->shutdown();
+    accepted_.clear();
     listener_.close();
     for (auto& t : threads_) {
       if (t.joinable()) t.join();
@@ -131,8 +142,11 @@ class LoopbackFleet {
   }
 
  private:
+  static constexpr int kAcceptTimeoutMs = 30000;
+
   net::Listener listener_;
   std::vector<std::thread> threads_;
+  std::vector<net::Socket> accepted_;  // spawn order; moved out by handshake
   std::optional<net::WorkerPool> pool_;
   std::optional<net::NetHost> host_;
 };
