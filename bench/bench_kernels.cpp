@@ -1,7 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, the paper
 // CNN's conv layers and Linear/gemm_nt shapes, and the attaching operations
-// whose 2|w| / 4|w| costs drive the paper's Table V/VIII accounting.
+// whose 2|w| / 4|w| costs drive the paper's Table V/VIII accounting. The
+// context block names the instruction-set path the kernels dispatch to
+// ("kernels"), and the conv1 GEMMs also run once per supported path.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -123,6 +127,38 @@ BENCHMARK(BM_GemmNt)
     ->Args({15, 784, 100, 0})
     ->ArgNames({"m", "k", "n", "beta"});
 
+// conv1 of the paper CNN on one instruction-set path, called through the
+// per-path table: the forward gemm (6 x 25 x 784) and the weight-gradient
+// gemm_nt (6 x 784 x 25, beta 1) at batch 15's per-sample shapes.
+void BM_Conv1GemmOnPath(benchmark::State& state, ops::detail::GemmFn fn,
+                        std::int64_t m, std::int64_t k, std::int64_t n,
+                        float beta) {
+  Rng rng(6);
+  std::vector<float> a(m * k), b(k * n), c(m * n, 0.0f);
+  for (auto& v : a) v = rng.normal();
+  for (auto& v : b) v = rng.normal();
+  for (auto _ : state) {
+    fn(a.data(), b.data(), c.data(), m, k, n, 1.0f, beta);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+
+void register_conv1_paths() {
+  for (const ops::detail::Isa isa : ops::detail::kAllIsas) {
+    const ops::detail::Kernels* k = ops::detail::kernels(isa);
+    if (k == nullptr) continue;
+    const std::string path = k->isa;
+    benchmark::RegisterBenchmark(("BM_Conv1Gemm/" + path).c_str(),
+                                 BM_Conv1GemmOnPath, k->gemm, 6, 25, 784,
+                                 0.0f);
+    benchmark::RegisterBenchmark(("BM_Conv1GemmNt/" + path).c_str(),
+                                 BM_Conv1GemmOnPath, k->gemm_nt, 6, 784, 25,
+                                 1.0f);
+  }
+}
+
 // The FedTrip attaching operation on a CNN-sized parameter vector: measures
 // the actual cost behind the paper's "negligible 4K|w|" claim.
 void BM_FedTripAttach(benchmark::State& state) {
@@ -196,4 +232,12 @@ BENCHMARK(BM_WeightedAggregation);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("kernels", fedtrip::ops::active_isa());
+  register_conv1_paths();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -40,6 +40,7 @@
 #include "obs/flight.h"
 #include "obs/stream.h"
 #include "obs/tracer.h"
+#include "tensor/ops.h"
 
 namespace {
 
@@ -349,7 +350,7 @@ int main(int argc, char** argv) {
 
   std::printf("method=%s model=%s dataset=%s het=%s rounds=%zu "
               "clients=%zu/%zu batch=%zu epochs=%zu mu=%.2f seed=%llu "
-              "schedule=%s compute=%s availability=%s\n",
+              "schedule=%s compute=%s availability=%s kernels=%s\n",
               method.c_str(), nn::arch_name(cfg.model.arch),
               cfg.dataset.c_str(),
               data::heterogeneity_name(cfg.heterogeneity), cfg.rounds,
@@ -357,7 +358,7 @@ int main(int argc, char** argv) {
               cfg.local_epochs, params.mu,
               static_cast<unsigned long long>(cfg.seed),
               cfg.sched.policy.c_str(), cfg.clients.compute_profile.c_str(),
-              cfg.clients.availability.c_str());
+              cfg.clients.availability.c_str(), ops::active_isa());
 
   const bool distributed = workers_remote > 0 || !connect_list.empty();
   if (elastic && !distributed) {

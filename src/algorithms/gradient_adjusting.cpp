@@ -25,7 +25,7 @@ fl::ClientUpdate GradientAdjustingAlgorithm::train_client(
       Tensor logits = model.forward(batch.inputs, /*train=*/true);
       loss_sum += ce.forward(logits, batch.labels);
       model.zero_grad();
-      model.backward(ce.backward());
+      model.backward_params(ce.backward());
 
       const double batch_n = static_cast<double>(batch.labels.size());
       flops += batch_n * (model.forward_flops_per_sample() +

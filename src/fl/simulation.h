@@ -138,12 +138,6 @@ class Simulation {
                   : clients_[client]->num_samples();
   }
 
-  /// The shard synthesizer (nullptr in pool mode) — what property tests
-  /// drive directly.
-  const clients::ShardSynthesizer* shard_synthesizer() const {
-    return synth_.get();
-  }
-
   /// The pre-scheduler synchronous loop, preserved verbatim as the
   /// executable specification of the sync policy: a run() with the default
   /// SchedConfig must match it bit for bit (enforced by
@@ -172,7 +166,6 @@ class Simulation {
   void set_initial_params(const std::vector<float>& params);
 
   const data::Dataset& train_data() const { return data_.train; }
-  const data::Dataset& test_data() const { return data_.test; }
   const data::Partition& partition() const { return partition_; }
   const comm::Channel& channel() const { return *channel_; }
   const comm::NetworkModel& network() const { return *network_; }

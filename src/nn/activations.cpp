@@ -3,32 +3,26 @@
 #include <cassert>
 #include <cmath>
 
+#include "tensor/ops.h"
+
 namespace fedtrip::nn {
 
 Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  Tensor out = input;
-  mask_ = Tensor(input.shape());
+  Tensor out(input.shape());
+  // Every element of the mask is rewritten, so a same-shape buffer is
+  // reused as is.
+  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
   const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (out[idx] > 0.0f) {
-      mask_[idx] = 1.0f;
-    } else {
-      out[idx] = 0.0f;
-    }
-  }
+  ops::relu_forward(input.data(), out.data(), mask_.data(), n);
   last_per_sample_ = input.shape()[0] > 0 ? n / input.shape()[0] : 0;
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   assert(grad_output.shape() == mask_.shape());
-  Tensor grad = grad_output;
-  const std::int64_t n = grad.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    grad[idx] *= mask_[idx];
-  }
+  Tensor grad(grad_output.shape());
+  ops::relu_backward(grad_output.data(), mask_.data(), grad.data(),
+                     grad.numel());
   return grad;
 }
 

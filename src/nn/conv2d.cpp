@@ -95,6 +95,17 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  Tensor grad_input(
+      Shape{grad_output.shape()[0], in_channels_, last_h_, last_w_});
+  backward_into(grad_output, &grad_input);
+  return grad_input;
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+  backward_into(grad_output, nullptr);
+}
+
+void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
   const std::int64_t batch = grad_output.shape()[0];
   assert(grad_output.shape()[1] == out_channels_);
   const std::int64_t out_h = grad_output.shape()[2];
@@ -107,11 +118,12 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t img_size = in_channels_ * last_h_ * last_w_;
   const std::int64_t out_size = out_channels_ * out_hw;
 
-  Tensor grad_input(Shape{batch, in_channels_, last_h_, last_w_});
   std::vector<float> cols(static_cast<std::size_t>(col_rows * out_hw));
-  std::vector<float> go_group(
-      static_cast<std::size_t>(out_channels_ * group * out_hw));
-  std::vector<float> dcols(static_cast<std::size_t>(col_rows * group * out_hw));
+  std::vector<float> go_group, dcols;
+  if (grad_input != nullptr) {
+    go_group.resize(static_cast<std::size_t>(out_channels_ * group * out_hw));
+    dcols.resize(static_cast<std::size_t>(col_rows * group * out_hw));
+  }
 
   for (std::int64_t n0 = 0; n0 < batch; n0 += group) {
     const std::int64_t g = std::min(group, batch - n0);
@@ -132,11 +144,13 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                   last_w_, kernel_, kernel_, stride_, pad_, cols.data());
       ops::gemm_nt(go, cols.data(), grad_weight_.data(), out_channels_,
                    out_hw, col_rows, 1.0f, 1.0f);
+      if (grad_input == nullptr) continue;
       for (std::int64_t c = 0; c < out_channels_; ++c) {
         std::copy(go + c * out_hw, go + (c + 1) * out_hw,
                   go_group.data() + c * ld + s * out_hw);
       }
     }
+    if (grad_input == nullptr) continue;
     // dcols (col_rows x g*out_hw) = W^T (col_rows x out_c) * grad_output,
     // gathered to the same [out_c, g*out_hw] layout.
     ops::gemm_tn(weight_.data(), go_group.data(), dcols.data(), col_rows,
@@ -144,10 +158,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     for (std::int64_t s = 0; s < g; ++s) {
       ops::col2im(dcols.data() + s * out_hw, in_channels_, last_h_, last_w_,
                   kernel_, kernel_, stride_, pad_,
-                  grad_input.data() + (n0 + s) * img_size, ld);
+                  grad_input->data() + (n0 + s) * img_size, ld);
     }
   }
-  return grad_input;
 }
 
 double Conv2d::forward_flops_per_sample() const {

@@ -13,6 +13,7 @@ class Conv2d : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
 
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override {
@@ -29,6 +30,10 @@ class Conv2d : public Module {
   std::int64_t pad() const { return pad_; }
 
  private:
+  // Accumulates the parameter gradients and, unless grad_input is null,
+  // writes dL/d input into it (zeroed, input-shaped).
+  void backward_into(const Tensor& grad_output, Tensor* grad_input);
+
   std::int64_t in_channels_;
   std::int64_t out_channels_;
   std::int64_t kernel_;

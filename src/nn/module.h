@@ -22,13 +22,23 @@ class Module {
 
   /// Computes the layer output for a batch. `train` toggles train-time
   /// behaviour (e.g. dropout). Implementations cache whatever they need for
-  /// backward().
+  /// backward() in both modes: a backward() may follow a `train == false`
+  /// forward (FedDANE takes its full-batch gradient that way), so `train`
+  /// says nothing about whether the caches will be read.
   virtual Tensor forward(const Tensor& input, bool train) = 0;
 
   /// Propagates `grad_output` (dL/d output) backwards: accumulates parameter
   /// gradients (+=) and returns dL/d input. Must be called after forward()
   /// on the same batch.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// Accumulates exactly the parameter gradients backward() would, without
+  /// computing dL/d input. For the first layer with parameters, whose input
+  /// gradient nobody reads; layers whose input gradient has a cost of its
+  /// own override it.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
 
   /// Learnable parameter tensors (may be empty).
   virtual std::vector<Tensor*> parameters() { return {}; }

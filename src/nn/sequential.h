@@ -3,7 +3,9 @@
 // The partial entry points (forward_features / backward_from) exist for
 // MOON-style model-contrastive training, which needs penultimate-layer
 // representations of three models and injects an extra gradient at the
-// feature layer.
+// feature layer. Training needs only parameter gradients, so its backward
+// entries (backward_params, backward_from_features) stop at the first
+// module with parameters and skip that module's input gradient.
 #pragma once
 
 #include <memory>
@@ -40,6 +42,14 @@ class Sequential : public Module {
     return g;
   }
 
+  /// The training backward: the parameter gradients of backward(), bit for
+  /// bit, without dL/d input. Modules n-1 .. f+1 run backward(), module f
+  /// (the first with parameters) runs backward_params(), and the modules
+  /// before f are not called.
+  void backward_params(const Tensor& grad_output) override {
+    backward_params_below(modules_.size(), grad_output);
+  }
+
   /// Runs forward through the first `feature_layers()` modules and returns
   /// the representation (for MOON). Also caches layer inputs so
   /// backward_from() can be used afterwards.
@@ -74,13 +84,10 @@ class Sequential : public Module {
 
   /// Backward starting at the feature boundary: propagates `grad_features`
   /// through modules [0, feature_boundary()). Parameter gradients accumulate
-  /// on top of whatever a full backward() already produced.
-  Tensor backward_from_features(const Tensor& grad_features) {
-    Tensor g = grad_features;
-    for (std::size_t i = feature_boundary(); i-- > 0;) {
-      g = modules_[i]->backward(g);
-    }
-    return g;
+  /// on top of whatever a full backward() already produced. Like
+  /// backward_params(), it computes no dL/d input.
+  void backward_from_features(const Tensor& grad_features) {
+    backward_params_below(feature_boundary(), grad_features);
   }
 
   /// Index of the first "head" module. By convention the head is the final
@@ -121,6 +128,16 @@ class Sequential : public Module {
   }
 
  private:
+  // Parameter-gradient backward through modules [0, end), stopping at the
+  // first module with parameters.
+  void backward_params_below(std::size_t end, Tensor g) {
+    std::size_t first = 0;
+    while (first < end && modules_[first]->parameters().empty()) ++first;
+    if (first == end) return;
+    for (std::size_t i = end; --i > first;) g = modules_[i]->backward(g);
+    modules_[first]->backward_params(g);
+  }
+
   std::vector<ModulePtr> modules_;
 };
 

@@ -124,19 +124,10 @@ void FlightRecorder::arm_process(FlightRecorder* rec, std::string dir,
   std::signal(SIGSEGV, signal_dump);
 }
 
-void FlightRecorder::disarm_process() {
-  std::lock_guard<std::mutex> lock(g_arm_mu);
-  g_armed = nullptr;
-  g_armed_tracer = nullptr;
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGABRT, SIG_DFL);
-  std::signal(SIGSEGV, SIG_DFL);
-}
-
 std::string FlightRecorder::dump_armed(const std::string& reason) {
   // Deliberately no lock: this runs on signal paths where the arm mutex
-  // may already be held by the interrupted thread. Arm/disarm happen at
-  // process start/end, not concurrently with dumps.
+  // may already be held by the interrupted thread. Arming happens at
+  // process start, not concurrently with dumps.
   if (g_armed == nullptr || g_armed_dir == nullptr) return "";
   return g_armed->dump(*g_armed_dir, reason, g_armed_tracer);
 }

@@ -62,7 +62,6 @@ class FlightRecorder {
   /// recorder/tracer must outlive the armed window.
   static void arm_process(FlightRecorder* rec, std::string dir,
                           const Tracer* tracer);
-  static void disarm_process();
   /// Dumps the armed recorder ("" when none armed).
   static std::string dump_armed(const std::string& reason);
 

@@ -163,9 +163,6 @@ class Tracer {
 
   TraceData snapshot() const;
 
-  bool spans_enabled() const { return spans_; }
-  bool counters_enabled() const { return counters_; }
-
   /// Flips span recording after construction. The worker keeps one
   /// diagnostics Tracer for its whole session and turns recording on only
   /// when the coordinator's Setup asks for spans back — open-span tracking

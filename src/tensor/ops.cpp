@@ -9,78 +9,129 @@
 namespace fedtrip::ops {
 
 namespace {
-// Inner kernel, a plain saxpy (no register blocking): C[i,:] += a_ik *
-// B[k,:]. This "saxpy over rows" form streams B and C, which the compiler
-// vectorises at -O2.
-inline void gemm_row_update(const float* b_row, float* c_row, float a_ik,
-                            std::int64_t n) {
-  for (std::int64_t j = 0; j < n; ++j) c_row[j] += a_ik * b_row[j];
+
+// One B^T packing buffer per thread, shared by every path's gemm_nt, so
+// concurrent calls from different threads are safe.
+float* gemm_nt_scratch(std::size_t size) {
+  thread_local std::vector<float> scratch;
+  if (scratch.size() < size) scratch.resize(size);
+  return scratch.data();
 }
+
+// No FP contraction, said in the source of each kernel: a build without
+// -ffp-contract=off must not fuse a*b + c either (see ops.h). gcc takes it
+// as a function attribute; clang has no optimize attribute and takes a
+// pragma at the start of each body instead.
+#if defined(__clang__)
+#define FEDTRIP_NO_CONTRACT _Pragma("clang fp contract(off)")
+#define FEDTRIP_NO_CONTRACT_ATTR
+#else
+#define FEDTRIP_NO_CONTRACT
+#define FEDTRIP_NO_CONTRACT_ATTR __attribute__((optimize("fp-contract=off")))
+#endif
+
+namespace baseline {
+#define FEDTRIP_KERNEL FEDTRIP_NO_CONTRACT_ATTR
+#define FEDTRIP_ISA_NAME "baseline"
+#include "tensor/ops_kernels.inc"
+#undef FEDTRIP_ISA_NAME
+#undef FEDTRIP_KERNEL
+}  // namespace baseline
+
+#if defined(__x86_64__) || defined(__i386__)
+#define FEDTRIP_HAVE_X86_PATHS 1
+
+namespace avx2 {
+#define FEDTRIP_KERNEL __attribute__((target("avx2"))) FEDTRIP_NO_CONTRACT_ATTR
+#define FEDTRIP_ISA_NAME "avx2"
+#include "tensor/ops_kernels.inc"
+#undef FEDTRIP_ISA_NAME
+#undef FEDTRIP_KERNEL
+}  // namespace avx2
+
+namespace avx512f {
+#define FEDTRIP_KERNEL \
+  __attribute__((target("avx512f"))) FEDTRIP_NO_CONTRACT_ATTR
+#define FEDTRIP_ISA_NAME "avx512f"
+#include "tensor/ops_kernels.inc"
+#undef FEDTRIP_ISA_NAME
+#undef FEDTRIP_KERNEL
+}  // namespace avx512f
+#endif
+
+#undef FEDTRIP_NO_CONTRACT_ATTR
+#undef FEDTRIP_NO_CONTRACT
+
+// The widest path the CPU supports, chosen on first use.
+const detail::Kernels& active() {
+  static const detail::Kernels* const chosen = [] {
+    for (const detail::Isa isa : {detail::Isa::kAvx512f, detail::Isa::kAvx2}) {
+      if (const detail::Kernels* k = detail::kernels(isa)) return k;
+    }
+    return &baseline::kKernels;
+  }();
+  return *chosen;
+}
+
 }  // namespace
+
+const detail::Kernels* detail::kernels(Isa isa) {
+  switch (isa) {
+    case Isa::kBaseline:
+      return &baseline::kKernels;
+#if defined(FEDTRIP_HAVE_X86_PATHS)
+    case Isa::kAvx2:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2") ? &avx2::kKernels : nullptr;
+    case Isa::kAvx512f:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f") ? &avx512f::kKernels : nullptr;
+#endif
+    default:
+      return nullptr;
+  }
+}
+
+const char* active_isa() { return active().isa; }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n, float alpha, float beta) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* c_row = c + i * n;
-    if (beta == 0.0f) {
-      std::memset(c_row, 0, static_cast<std::size_t>(n) * sizeof(float));
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) c_row[j] *= beta;
-    }
-    const float* a_row = a + i * k;
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float a_ip = alpha * a_row[p];
-      if (a_ip != 0.0f) gemm_row_update(b + p * n, c_row, a_ip, n);
-    }
-  }
+  active().gemm(a, b, c, m, k, n, alpha, beta);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, float alpha, float beta) {
-  // A is stored (k x m); we compute C(m x n) = alpha A^T B + beta C.
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* c_row = c + i * n;
-    if (beta == 0.0f) {
-      std::memset(c_row, 0, static_cast<std::size_t>(n) * sizeof(float));
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) c_row[j] *= beta;
-    }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float a_pi = alpha * a[p * m + i];
-      if (a_pi != 0.0f) gemm_row_update(b + p * n, c_row, a_pi, n);
-    }
-  }
+  active().gemm_tn(a, b, c, m, k, n, alpha, beta);
 }
 
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, float alpha, float beta) {
-  // B is stored (n x k); C(m x n) = alpha A B^T + beta C. The dot product
-  // acc = sum_p A[i,p] * B[j,p] cannot vectorise over p without
-  // reassociating it, so pack B^T (k x n) once and run the saxpy form over
-  // a row of n accumulators instead: every acc[j] still sees the same +=
-  // sequence in p order. No zero skip, unlike gemm: 0 * Inf must stay NaN.
-  thread_local std::vector<float> scratch;
-  const auto kn = static_cast<std::size_t>(k * n);
-  if (scratch.size() < kn + static_cast<std::size_t>(n)) {
-    scratch.resize(kn + static_cast<std::size_t>(n));
-  }
-  float* bt = scratch.data();
-  float* acc = bt + kn;
-  for (std::int64_t j = 0; j < n; ++j) {
-    const float* b_row = b + j * k;
-    for (std::int64_t p = 0; p < k; ++p) bt[p * n + j] = b_row[p];
-  }
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* a_row = a + i * k;
-    float* c_row = c + i * n;
-    std::fill(acc, acc + n, 0.0f);
-    for (std::int64_t p = 0; p < k; ++p) {
-      gemm_row_update(bt + p * n, acc, a_row[p], n);
-    }
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = alpha * acc[j] + (beta == 0.0f ? 0.0f : beta * c_row[j]);
-    }
-  }
+  active().gemm_nt(a, b, c, m, k, n, alpha, beta);
+}
+
+void im2col(const float* img, std::int64_t channels, std::int64_t height,
+            std::int64_t width, std::int64_t kh, std::int64_t kw,
+            std::int64_t stride, std::int64_t pad, float* cols,
+            std::int64_t ld) {
+  active().im2col(img, channels, height, width, kh, kw, stride, pad, cols,
+                  ld);
+}
+
+void col2im(const float* cols, std::int64_t channels, std::int64_t height,
+            std::int64_t width, std::int64_t kh, std::int64_t kw,
+            std::int64_t stride, std::int64_t pad, float* img,
+            std::int64_t ld) {
+  active().col2im(cols, channels, height, width, kh, kw, stride, pad, img,
+                  ld);
+}
+
+void relu_forward(const float* x, float* y, float* mask, std::int64_t n) {
+  active().relu_forward(x, y, mask, n);
+}
+
+void relu_backward(const float* dy, const float* mask, float* dx,
+                   std::int64_t n) {
+  active().relu_backward(dy, mask, dx, n);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -89,61 +140,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   Tensor c(Shape{a.shape()[0], b.shape()[1]});
   gemm(a.data(), b.data(), c.data(), a.shape()[0], a.shape()[1], b.shape()[1]);
   return c;
-}
-
-void im2col(const float* img, std::int64_t channels, std::int64_t height,
-            std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* cols,
-            std::int64_t ld) {
-  const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
-  const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-  if (ld == 0) ld = out_h * out_w;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t ki = 0; ki < kh; ++ki) {
-      for (std::int64_t kj = 0; kj < kw; ++kj) {
-        float* col_row = cols + ((c * kh + ki) * kw + kj) * ld;
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          const std::int64_t ih = oh * stride - pad + ki;
-          if (ih < 0 || ih >= height) {
-            std::memset(col_row + oh * out_w, 0,
-                        static_cast<std::size_t>(out_w) * sizeof(float));
-            continue;
-          }
-          const float* img_row = img + (c * height + ih) * width;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * stride - pad + kj;
-            col_row[oh * out_w + ow] =
-                (iw >= 0 && iw < width) ? img_row[iw] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void col2im(const float* cols, std::int64_t channels, std::int64_t height,
-            std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* img,
-            std::int64_t ld) {
-  const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
-  const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-  if (ld == 0) ld = out_h * out_w;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t ki = 0; ki < kh; ++ki) {
-      for (std::int64_t kj = 0; kj < kw; ++kj) {
-        const float* col_row = cols + ((c * kh + ki) * kw + kj) * ld;
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          const std::int64_t ih = oh * stride - pad + ki;
-          if (ih < 0 || ih >= height) continue;
-          float* img_row = img + (c * height + ih) * width;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * stride - pad + kj;
-            if (iw >= 0 && iw < width) img_row[iw] += col_row[oh * out_w + ow];
-          }
-        }
-      }
-    }
-  }
 }
 
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {

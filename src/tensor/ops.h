@@ -12,6 +12,15 @@ namespace fedtrip::ops {
 // per-element accumulation order, same zero handling. Blocking, packing and
 // vectorising across independent output elements are fine; reassociating a
 // sum, contracting a*b+c into an FMA or adding/removing a zero skip is not.
+//
+// Dispatch. gemm, gemm_tn, gemm_nt, im2col, col2im and the ReLU pair are
+// compiled once per instruction-set path (baseline; on x86 also AVX2 and
+// AVX-512F) and the widest path the CPU supports is chosen once, on first
+// use. Every path keeps the contract, so the choice changes speed only, not
+// a bit. The no-contraction rule is stated in the kernel source itself, not
+// left to a compiler flag: AVX-512F carries FMA instructions, and a build
+// without -ffp-contract=off would otherwise fuse the vector loop but not its
+// scalar tail, making results depend on heap alignment.
 
 /// C = alpha * A(MxK) * B(KxN) + beta * C(MxN).
 /// Each C[i,j] is first set to 0 (beta == 0), kept (beta == 1) or scaled by
@@ -67,8 +76,53 @@ inline std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
+/// ReLU forward over n elements: y = x > 0 ? x : 0 and mask = x > 0 ? 1 : 0,
+/// so NaN and -0 give +0 with mask 0.
+void relu_forward(const float* x, float* y, float* mask, std::int64_t n);
+
+/// ReLU backward over n elements: dx = dy * mask, a real multiply, so an
+/// Inf or NaN in dy gives NaN where mask is 0.
+void relu_backward(const float* dy, const float* mask, float* dx,
+                   std::int64_t n);
+
 /// Numerically-stable in-place softmax over each row of a (rows x cols)
 /// matrix.
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols);
+
+/// Name of the instruction-set path the dispatched kernels run on:
+/// "baseline", "avx2" or "avx512f". For logs and bench context.
+const char* active_isa();
+
+namespace detail {
+
+// Per-path kernel tables, so tests and benches can run one path against
+// another. Everything else calls the dispatching functions above.
+
+enum class Isa { kBaseline, kAvx2, kAvx512f };
+/// Every path, narrowest first.
+inline constexpr Isa kAllIsas[] = {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512f};
+
+using GemmFn = void (*)(const float*, const float*, float*, std::int64_t,
+                        std::int64_t, std::int64_t, float, float);
+using LoweringFn = void (*)(const float*, std::int64_t, std::int64_t,
+                            std::int64_t, std::int64_t, std::int64_t,
+                            std::int64_t, std::int64_t, float*, std::int64_t);
+using ReluForwardFn = void (*)(const float*, float*, float*, std::int64_t);
+using ReluBackwardFn = void (*)(const float*, const float*, float*,
+                                std::int64_t);
+
+struct Kernels {
+  const char* isa;
+  GemmFn gemm, gemm_tn, gemm_nt;
+  LoweringFn im2col, col2im;
+  ReluForwardFn relu_forward;
+  ReluBackwardFn relu_backward;
+};
+
+/// The kernels compiled for `isa`, or nullptr when this build has no such
+/// path or the CPU cannot run it. kBaseline is always available.
+const Kernels* kernels(Isa isa);
+
+}  // namespace detail
 
 }  // namespace fedtrip::ops

@@ -62,11 +62,6 @@ std::vector<Record> read_container(const std::uint8_t* data,
   return records;
 }
 
-std::vector<Record> read_container_file(const std::string& path) {
-  const auto buf = read_file(path);
-  return read_container(buf.data(), buf.size());
-}
-
 std::vector<std::uint8_t> serialize_params(const std::vector<float>& params) {
   WireWriter w;
   w.u64(params.size());

@@ -91,7 +91,6 @@ void write_container_file(const std::string& path,
 /// Parses a container; throws WireError on bad magic, unsupported version,
 /// or truncated records.
 std::vector<Record> read_container(const std::uint8_t* data, std::size_t size);
-std::vector<Record> read_container_file(const std::string& path);
 
 /// kCheckpoint record payload: u64 count + f32[count].
 std::vector<std::uint8_t> serialize_params(const std::vector<float>& params);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gradcheck_util.h"
 #include "nn/parameter_vector.h"
 
@@ -120,6 +122,39 @@ TEST(ModelsTest, BackwardRunsThroughCnn) {
   double norm = 0.0;
   for (float v : flatten_gradients(*m)) norm += static_cast<double>(v) * v;
   EXPECT_GT(norm, 0.0);
+}
+
+// The training backward (backward_params: no input gradient for the first
+// weighted layer, no call to the modules before it) must accumulate the
+// same parameter gradients as backward(), bit for bit, over two batches.
+TEST(ModelsTest, TrainingBackwardMatchesFullBackwardBitwise) {
+  const struct {
+    ModelSpec spec;
+    Shape input;
+  } cases[] = {{mlp_spec(), Shape{5, 1, 28, 28}},
+               {cnn_spec(), Shape{5, 1, 28, 28}},
+               {alexnet_spec(0.25), Shape{3, 3, 32, 32}}};
+  for (const auto& c : cases) {
+    auto full = build_model(c.spec, 3);
+    auto train = build_model(c.spec, 3);
+    full->zero_grad();
+    train->zero_grad();
+    for (std::uint64_t pass = 0; pass < 2; ++pass) {
+      const Tensor x = testing::random_tensor(c.input, 20 + pass);
+      const Tensor y = full->forward(x, true);
+      train->forward(x, true);
+      const Tensor g = testing::random_tensor(y.shape(), 30 + pass);
+      full->backward(g);
+      train->backward_params(g);
+      const auto want = flatten_gradients(*full);
+      const auto got = flatten_gradients(*train);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << arch_name(c.spec.arch) << " pass " << pass;
+    }
+  }
 }
 
 TEST(ModelsTest, MlpFlopsMatchTableIIIOrder) {

@@ -103,6 +103,44 @@ TEST(SequentialTest, FlopsSumOverModules) {
                    (2.0 * 4 * 6 + 6) + 6 + (2.0 * 6 * 3 + 3));
 }
 
+// Counts the calls a training backward makes into a module in front of the
+// first weighted layer.
+class CallCounter : public Module {
+ public:
+  Tensor forward(const Tensor& input, bool) override { return input; }
+  Tensor backward(const Tensor& grad_output) override {
+    ++backward_calls;
+    return grad_output;
+  }
+  std::string name() const override { return "CallCounter"; }
+  int backward_calls = 0;
+};
+
+TEST(SequentialTest, TrainingBackwardStopsAtFirstWeightedModule) {
+  Rng rng(12);
+  Sequential model;
+  model.add(std::make_unique<CallCounter>());
+  model.add(std::make_unique<Linear>(4, 6, rng));
+  model.add(std::make_unique<ReLU>());
+  model.add(std::make_unique<CallCounter>());
+  model.add(std::make_unique<Linear>(6, 3, rng));
+  auto& front = static_cast<CallCounter&>(model.module(0));
+  auto& middle = static_cast<CallCounter&>(model.module(3));
+  model.forward(testing::random_tensor(Shape{2, 4}, 13), true);
+  const Tensor g = testing::random_tensor(Shape{2, 3}, 14);
+
+  model.backward_params(g);
+  EXPECT_EQ(front.backward_calls, 0);
+  EXPECT_EQ(middle.backward_calls, 1);
+
+  model.backward_from_features(model.backward_head(g));
+  EXPECT_EQ(front.backward_calls, 0);
+  EXPECT_EQ(middle.backward_calls, 2);
+
+  model.backward(g);
+  EXPECT_EQ(front.backward_calls, 1);
+}
+
 TEST(SequentialTest, WithFlattenHandles4D) {
   Rng rng(1);
   auto model = std::make_unique<Sequential>();
